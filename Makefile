@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test determinism bench bench-smoke bench-compare qualification difftest faultcheck parallelcheck obscheck storecheck servecheck
+.PHONY: check test determinism e2e-smoke bench bench-smoke bench-compare qualification difftest faultcheck parallelcheck obscheck storecheck servecheck
 
 ## fuzz seed for `make difftest`; CI rotates it per run and logs the
 ## value so any failure replays with DIFFTEST_SEED=<logged seed>
@@ -15,8 +15,9 @@ BENCH_COMPARE_THRESHOLD ?= 0.25
 ## N runs per (git sha, bench module) before diffing
 BENCH_HISTORY_KEEP ?= 10
 
-## tier-1 suite + parallel-generation determinism smoke
-check: test determinism
+## tier-1 suite + parallel-generation determinism smoke + the
+## end-to-end benchmark harness at smoke size
+check: test determinism e2e-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -24,6 +25,13 @@ test:
 ## serial vs 4-worker generation must be byte-identical (sf 0.001)
 determinism:
 	$(PYTHON) -m pytest tests/test_parallel_dsdgen.py -q
+
+## every BENCHMARK.json workload at --smoke, untraced and traced
+## (≈ 1 min): the harness reaches into try_rewrite / Planner /
+## Optimizer / db.plan_quality and wraps db.execute, so an engine
+## refactor that breaks that reach fails here, not in the driver
+e2e-smoke:
+	$(PYTHON) benchmarks/e2e/test_harness.py
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s

@@ -140,6 +140,31 @@ def _parse_bytes(text: str | None) -> float | None:
     return float(text) * scale
 
 
+def _add_exec_flags(
+    parser: argparse.ArgumentParser,
+    timeout_help: str,
+    mem_budget_help: str,
+    workers_help: str,
+    workers_default: int | None = None,
+) -> None:
+    """The three execution knobs every executing subcommand takes."""
+    parser.add_argument("--timeout", type=float, default=None, metavar="S",
+                        help=timeout_help)
+    parser.add_argument("--mem-budget", default=None, metavar="BYTES",
+                        help=mem_budget_help)
+    parser.add_argument("--workers", type=int, default=workers_default,
+                        metavar="N", help=workers_help)
+
+
+def _exec_kwargs(args: argparse.Namespace) -> dict:
+    """The parsed execution knobs, named as ``Database.execute`` names them."""
+    return {
+        "timeout_s": args.timeout,
+        "mem_budget_bytes": _parse_bytes(args.mem_budget),
+        "workers": args.workers,
+    }
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.metrics:
         from .obs import MetricsRegistry, set_registry
@@ -160,6 +185,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from .obs import MetricsRegistry, set_registry
 
         set_registry(MetricsRegistry(enabled=True))
+    knobs = _exec_kwargs(args)
     bench = Benchmark(
         scale_factor=args.scale,
         streams=args.streams,
@@ -168,13 +194,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         use_aux_structures=not args.no_aux,
         strict=args.strict,
         plan_quality=args.plan_quality,
-        query_timeout_s=args.timeout,
-        query_mem_budget_bytes=_parse_bytes(args.mem_budget),
+        query_timeout_s=knobs["timeout_s"],
+        query_mem_budget_bytes=knobs["mem_budget_bytes"],
         max_query_retries=args.retries,
         checkpoint_path=args.checkpoint,
         resume=args.resume,
         faults=faults,
-        workers=args.workers,
+        workers=knobs["workers"],
         sample_metrics=bool(args.sample_metrics),
         sample_interval_s=args.sample_interval,
         sample_metrics_path=args.sample_metrics,
@@ -250,11 +276,12 @@ def _service_db(args: argparse.Namespace):
 def _service_quota(args: argparse.Namespace):
     from .service import TenantQuota
 
+    knobs = _exec_kwargs(args)
     return TenantQuota(
         max_concurrent=args.max_concurrent,
         max_queue_depth=args.queue_depth,
-        statement_timeout_s=args.timeout,
-        mem_budget_bytes=_parse_bytes(args.mem_budget),
+        statement_timeout_s=knobs["timeout_s"],
+        mem_budget_bytes=knobs["mem_budget_bytes"],
     )
 
 
@@ -382,11 +409,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         if not args.json:
             print(f"-- query {query.template_id} ({query.name}; "
                   f"{query.query_class}; {query.channel_part} part)")
-    bounds = {
-        "timeout_s": args.timeout,
-        "mem_budget_bytes": _parse_bytes(args.mem_budget),
-        "workers": args.workers,
-    }
+    bounds = _exec_kwargs(args)
     if args.json:
         import json
 
@@ -666,12 +689,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan-quality", action="store_true",
                    help="collect per-operator Q-error diagnostics and"
                         " print the worst-offender summary")
-    p.add_argument("--timeout", type=float, default=None, metavar="S",
-                   help="per-query wall-clock timeout in seconds"
-                        " (timed-out queries degrade, the run continues)")
-    p.add_argument("--mem-budget", default=None, metavar="BYTES",
-                   help="per-query memory budget; hash joins, aggregates"
-                        " and sorts spill past it (accepts K/M/G suffix)")
+    _add_exec_flags(
+        p,
+        "per-query wall-clock timeout in seconds"
+        " (timed-out queries degrade, the run continues)",
+        "per-query memory budget; hash joins, aggregates"
+        " and sorts spill past it (accepts K/M/G suffix)",
+        "morsel-parallel worker threads shared by query"
+        " streams and operators (results are byte-"
+        "identical to serial; default: serial)",
+    )
     p.add_argument("--retries", type=int, default=2,
                    help="max retries for transient query failures"
                         " (default 2)")
@@ -687,10 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="inject random delays at this per-query rate")
     p.add_argument("--fault-max-delay", type=float, default=0.01,
                    help="max injected delay in seconds (default 0.01)")
-    p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="morsel-parallel worker threads shared by query"
-                        " streams and operators (results are byte-"
-                        "identical to serial; default: serial)")
     p.add_argument("--telemetry", metavar="FILE", default=None,
                    help="write the full telemetry bundle (trace,"
                         " latency percentiles, parallelism profile,"
@@ -725,14 +748,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="emit the plan tree as machine-readable JSON"
                         " (plan_to_dict output)")
-    p.add_argument("--timeout", type=float, default=None, metavar="S",
-                   help="wall-clock timeout for --analyze execution")
-    p.add_argument("--mem-budget", default=None, metavar="BYTES",
-                   help="memory budget for --analyze execution (spill"
-                        " counters appear in the annotated plan)")
-    p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="morsel-parallel workers for --analyze execution"
-                        " (workers=/morsels= counters appear per operator)")
+    _add_exec_flags(
+        p,
+        "wall-clock timeout for --analyze execution",
+        "memory budget for --analyze execution (spill"
+        " counters appear in the annotated plan)",
+        "morsel-parallel workers for --analyze execution"
+        " (workers=/morsels= counters appear per operator)",
+    )
     p.set_defaults(func=_cmd_explain)
 
     def _service_args(p: argparse.ArgumentParser) -> None:
@@ -742,14 +765,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--db", metavar="PATH", default=None,
                        help="open the persistent column store at PATH"
                             " instead of generating")
-        p.add_argument("--workers", type=int, default=2, metavar="N",
-                       help="service worker threads (default 2)")
-        p.add_argument("--timeout", type=float, default=None, metavar="S",
-                       help="per-statement end-to-end deadline (queue"
-                            " wait included); drives deadline-aware"
-                            " shedding")
-        p.add_argument("--mem-budget", default=None, metavar="BYTES",
-                       help="per-statement memory budget (K/M/G suffix)")
+        _add_exec_flags(
+            p,
+            "per-statement end-to-end deadline (queue"
+            " wait included); drives deadline-aware"
+            " shedding",
+            "per-statement memory budget (K/M/G suffix)",
+            "service worker threads (default 2)",
+            workers_default=2,
+        )
         p.add_argument("--max-concurrent", type=int, default=2,
                        help="per-tenant concurrent statements (default 2)")
         p.add_argument("--queue-depth", type=int, default=8,

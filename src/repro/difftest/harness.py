@@ -87,7 +87,7 @@ class DiffHarness:
         sql = to_engine_sql(query)
         sqlite_sql = to_sqlite_sql(query)
         try:
-            engine_rows = self.db.execute_ast(query, timeout_s=self.timeout_s).rows()
+            engine_rows = self._engine_rows(query, sql)
         except QueryTimeout as exc:
             return DiffOutcome("engine_timeout", sql, sqlite_sql, str(exc), label)
         except EngineError as exc:
@@ -131,11 +131,16 @@ class DiffHarness:
             )
         return DiffOutcome("mismatch", sql, sqlite_sql, diff, label)
 
+    def _engine_rows(self, query: A.Query, sql: str) -> list[tuple]:
+        """Run the AST as is (no render / re-parse round trip), recorded
+        under the text rendered for its outcome."""
+        return self.db.execute_ast(query, sql, timeout_s=self.timeout_s).rows()
+
     def _compare_unlimited(self, query: A.Query) -> Optional[DiffOutcome]:
         sql = to_engine_sql(query)
         sqlite_sql = to_sqlite_sql(query)
         try:
-            engine_rows = self.db.execute_ast(query, timeout_s=self.timeout_s).rows()
+            engine_rows = self._engine_rows(query, sql)
             oracle_rows, _ = self.oracle.execute(sqlite_sql)
         except Exception:
             return None

@@ -6,7 +6,7 @@ Public surface: :class:`Database`, :class:`Result`,
 constructors re-exported from :mod:`repro.engine.types`.
 """
 
-from .database import Database, QueryTrace, Result
+from .database import Database, Result
 from .errors import (
     CatalogError,
     ConstraintError,
@@ -43,7 +43,6 @@ from .types import (
 
 __all__ = [
     "Database",
-    "QueryTrace",
     "Result",
     "OptimizerSettings",
     "EngineError",

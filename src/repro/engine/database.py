@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Optional
 
 import numpy as np
 
@@ -39,13 +39,7 @@ from ..obs import (
 )
 from .batch import Batch
 from .catalog import Catalog
-from .errors import (
-    EngineError,
-    ExecutionError,
-    PlanningError,
-    QueryCancelled,
-    QueryTimeout,
-)
+from .errors import EngineError, ExecutionError, PlanningError, failure_status
 from .executor import Executor
 from .expr import EvalContext, evaluate
 from .governor import ResourceContext
@@ -54,7 +48,7 @@ from .matview import MaterializedView, define_view, try_rewrite
 from .optimizer import Optimizer, OptimizerSettings
 from .planner import Planner
 from .sql import ast_nodes as A
-from .sql.parser import parse_statement
+from .sql.parser import parse_query, parse_statement
 from .systables import install_sys_tables, statement_touches_sys
 from .types import Kind, TableSchema
 from .vector import Vector
@@ -97,32 +91,79 @@ class Result:
         return "\n".join(lines)
 
 
-@dataclass
-class QueryTrace:
-    """Lightweight execution trace for EXPLAIN ANALYZE-style reporting.
-
-    ``plan_text`` holds the optimized plan (prefixed with the rewrite
-    header when a materialized view answered the query)."""
-
-    sql: str
-    plan_text: str
-    elapsed: float
-    used_view: Optional[str]
-    rows: int = 0
-
-
 #: recognizes an EXPLAIN [ANALYZE] prefix handed to ``execute``
 _EXPLAIN_RE = re.compile(r"^\s*EXPLAIN(\s+ANALYZE)?\s+", re.IGNORECASE)
 
 
-def _failure_status(exc: BaseException) -> str:
-    """The statement-store status for a failed execution — the same
-    taxonomy the runner's QueryTiming uses."""
-    if isinstance(exc, QueryTimeout):
-        return "timeout"
-    if isinstance(exc, QueryCancelled):
-        return "cancelled"
-    return "failed"
+@dataclass(frozen=True)
+class ExecOptions:
+    """One statement's execution options, resolved against the
+    database-wide defaults once at the public boundary
+    (:meth:`resolve`).  Everything the five knobs do happens here and
+    nowhere else: the statement's query-level fault roll, its
+    :class:`ResourceContext` and its worker pool."""
+
+    timeout_s: Optional[float]
+    mem_budget_bytes: Optional[float]
+    cancel: Any  # a ``threading.Event`` or ``None``
+    workers: Optional[int]
+    faults: Any  # a :class:`~repro.faults.FaultInjector` or ``None``
+
+    @classmethod
+    def resolve(cls, db, timeout_s, mem_budget_bytes, cancel, workers, faults):
+        """Per-call knobs fall back to ``db``'s worker count and fault
+        injector."""
+        return cls(
+            timeout_s,
+            mem_budget_bytes,
+            cancel,
+            db.workers if workers is None else workers,
+            faults if faults is not None else db.fault_injector,
+        )
+
+    def roll_query_fault(self, label: str) -> None:
+        """The once-per-statement injection point."""
+        if self.faults is not None:
+            self.faults.at_query(label)
+
+    def resource(self) -> Optional[ResourceContext]:
+        """A :class:`ResourceContext` for one statement, or ``None``
+        when nothing is bounded (so ungoverned statements skip every
+        per-operator check)."""
+        if (
+            self.timeout_s is None
+            and self.mem_budget_bytes is None
+            and self.cancel is None
+            and self.faults is None
+        ):
+            return None
+        return ResourceContext(
+            memory_budget_bytes=self.mem_budget_bytes,
+            timeout_s=self.timeout_s,
+            cancel=self.cancel,
+            faults=self.faults,
+        )
+
+    def pool(self):
+        """The shared worker pool for one statement (``None`` = serial)."""
+        return get_pool(self.workers)
+
+
+def _view_header(used_view: Optional[str]) -> list[str]:
+    if used_view:
+        return [f"-- rewritten to use materialized view {used_view}"]
+    return []
+
+
+def _annotated_text(result: Result, plan, collector: ExecStatsCollector) -> str:
+    """EXPLAIN ANALYZE output: the plan annotated with what the
+    collector measured, under the rewrite header, over a totals line."""
+    lines = _view_header(result.rewritten_from_view)
+    lines.append(annotate_plan(plan, collector))
+    lines.append(f"Execution: rows={len(result)} "
+                 f"elapsed={result.elapsed * 1000:.3f}ms "
+                 f"peak_mem={format_bytes(collector.peak_memory_bytes)}")
+    return "\n".join(lines)
 
 
 def _worst_q_error(plan, collector: ExecStatsCollector):
@@ -158,8 +199,6 @@ class Database:
         #: byte-identical at any worker count — see
         #: :mod:`repro.engine.parallel`
         self.workers = workers
-        self.traces: list[QueryTrace] = []
-        self.trace_queries = False
         #: optional :class:`~repro.obs.PlanQualityAggregator`; when set,
         #: every query executes under a stats collector and folds its
         #: per-operator Q-error records into the aggregator (the
@@ -171,12 +210,13 @@ class Database:
         #: injected query runs)
         self.fault_injector = None
         #: optional :class:`~repro.obs.StatementStore`; when set, every
-        #: statement handed to :meth:`execute` is fingerprinted and its
-        #: outcome folded into per-fingerprint aggregates (queryable as
-        #: ``sys.statements`` / ``sys.queries``).  Statements that scan
-        #: ``sys.*`` tables are never recorded — introspection must not
-        #: pollute the data it reads.  The disabled path costs one
-        #: ``is None`` check.
+        #: statement run under a source text (``execute``,
+        #: ``explain_analyze``, ``execute_ast`` given one) is
+        #: fingerprinted and its outcome folded into per-fingerprint
+        #: aggregates (queryable as ``sys.statements`` /
+        #: ``sys.queries``).  Statements that scan ``sys.*`` tables are
+        #: never recorded — introspection must not pollute the data it
+        #: reads.  The disabled path costs one ``is None`` check.
         self.statement_store = statement_store
         #: ``(plan, collector)`` of the most recent statement executed
         #: under a stats collector — the backing state of
@@ -241,41 +281,17 @@ class Database:
         self.catalog.gather_stats(table)
 
     def create_materialized_view(self, name: str, sql: str) -> MaterializedView:
-        view = define_view(name, sql, self.catalog, self._execute_sql_to_batch)
+        view = define_view(name, sql, self.catalog, self._materialize)
         self.catalog.register_matview(view)
         return view
 
     def refresh_matviews(self) -> int:
         """Recompute every materialized view (data-maintenance step)."""
         for view in self.catalog.matviews:
-            view.refresh(self._execute_sql_to_batch)
+            view.refresh(self._materialize)
         return len(self.catalog.matviews)
 
     # -- queries -----------------------------------------------------------------
-
-    def execute_ast(
-        self,
-        query: A.Query,
-        timeout_s: Optional[float] = None,
-        mem_budget_bytes: Optional[float] = None,
-        cancel=None,
-        workers: Optional[int] = None,
-        faults=None,
-    ) -> Result:
-        """Execute an already-parsed query AST (the differential-testing
-        harness runs shrunk ASTs without a render/re-parse round trip)."""
-        start = time.perf_counter()
-        injector = faults if faults is not None else self.fault_injector
-        if injector is not None:
-            injector.at_query(f"ast:{type(query).__name__}")
-        resource = self._make_resource(
-            timeout_s, mem_budget_bytes, cancel, faults=faults
-        )
-        result = self._execute_query(
-            query, resource=resource, pool=self._get_pool(workers)
-        )
-        result.elapsed = time.perf_counter() - start
-        return result
 
     def execute(
         self,
@@ -301,235 +317,237 @@ class Database:
         shared morsel pool; the result is byte-identical to serial.
         ``faults`` overrides the database-wide fault injector for this
         statement only (the query service scopes injection per tenant).
+        All five apply identically to queries, DML and
+        ``EXPLAIN ANALYZE``; ``Result.elapsed`` covers the whole
+        statement, parsing included.
         """
+        opts = ExecOptions.resolve(
+            self, timeout_s, mem_budget_bytes, cancel, workers, faults
+        )
         match = _EXPLAIN_RE.match(sql)
-        if match is not None:
-            start = time.perf_counter()
-            body = sql[match.end():]
-            text = (
-                self.explain_analyze(
-                    body, timeout_s=timeout_s, mem_budget_bytes=mem_budget_bytes,
-                    workers=workers,
-                )
-                if match.group(1)
-                else self.explain(body)
-            )
-            batch = Batch(
-                {"QUERY PLAN": Vector.from_values(Kind.STR, text.splitlines())}
-            )
-            result = Result(["QUERY PLAN"], batch)
-            result.elapsed = time.perf_counter() - start
-            return result
-        statement = parse_statement(sql)
-        store = self.statement_store
-        # recursion guard: introspection queries over sys.* tables are
-        # never recorded into the store they read
-        record = store is not None and not statement_touches_sys(statement)
+        if match is None:
+            return self._run(sql, opts, sql)[0]
         start = time.perf_counter()
-        pool = None
-        collector = None
-        try:
-            if isinstance(statement, A.Query):
-                injector = (
-                    faults if faults is not None else self.fault_injector
-                )
-                if injector is not None:
-                    injector.at_query(sql)
-                resource = self._make_resource(
-                    timeout_s, mem_budget_bytes, cancel, faults=faults
-                )
-                pool = self._get_pool(workers)
-                if record:
-                    # a collector rides along so the store sees peak
-                    # operator memory and plan-quality Q-error
-                    collector = ExecStatsCollector()
-                result = self._execute_query(
-                    statement, sql, resource=resource, pool=pool,
-                    collector=collector,
-                    record_profile=store is None or record,
-                )
-            elif isinstance(statement, A.Insert):
-                result = self._execute_insert(statement)
-            elif isinstance(statement, A.Delete):
-                result = self._execute_delete(statement)
-            elif isinstance(statement, A.Update):
-                result = self._execute_update(statement)
-            else:  # pragma: no cover
-                raise EngineError(
-                    f"unsupported statement {type(statement).__name__}"
-                )
-        except Exception as exc:
-            if record:
-                store.record(
-                    sql, time.perf_counter() - start,
-                    status=_failure_status(exc),
-                    workers=getattr(pool, "workers", None) or 1,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            raise
-        result.elapsed = time.perf_counter() - start
-        registry = get_registry()
-        if registry.enabled:
-            registry.histogram("engine.statement_seconds").observe(
-                result.elapsed
-            )
-        if record:
-            worst_q = None
-            peak_mem = 0.0
-            if collector is not None:
-                peak_mem = collector.peak_memory_bytes
-                profiled = self.last_profiled
-                if profiled is not None and profiled[1] is collector:
-                    worst_q = _worst_q_error(profiled[0], collector)
-            store.record(
-                sql, result.elapsed, status="ok",
-                rows=(len(result) if isinstance(statement, A.Query)
-                      else result.rowcount),
-                spill_partitions=result.spill_partitions,
-                spilled_bytes=result.spilled_bytes,
-                peak_memory_bytes=peak_mem,
-                workers=getattr(pool, "workers", None) or 1,
-                q_error=worst_q,
-            )
-        return result
+        body = sql[match.end():]
+        if match.group(1):
+            text = _annotated_text(*self._run(body, opts, sql, profile=True))
+        else:
+            text = self.explain(body)
+        lines = Vector.from_values(Kind.STR, text.splitlines())
+        return Result(
+            ["QUERY PLAN"], Batch({"QUERY PLAN": lines}),
+            elapsed=time.perf_counter() - start,
+        )
+
+    def execute_ast(
+        self,
+        query: A.Query,
+        sql: str = "",
+        timeout_s: Optional[float] = None,
+        mem_budget_bytes: Optional[float] = None,
+        cancel=None,
+        workers: Optional[int] = None,
+        faults=None,
+    ) -> Result:
+        """Execute an already-parsed query AST (the differential-testing
+        harness runs shrunk ASTs without a render/re-parse round trip).
+        ``sql`` is the source text the caller holds for it: the
+        statement is recorded under that text, or, without one, only
+        observed in ``engine.statement_seconds``."""
+        opts = ExecOptions.resolve(
+            self, timeout_s, mem_budget_bytes, cancel, workers, faults
+        )
+        return self._run(query, opts, sql)[0]
 
     def explain(self, sql: str) -> str:
-        statement = parse_statement(sql)
-        if not isinstance(statement, A.Query):
-            raise PlanningError("EXPLAIN supports queries only")
-        query, used_view = self._maybe_rewrite(statement)
-        plan = self._plan(query)
-        header = []
-        if used_view:
-            header.append(f"-- rewritten to use materialized view {used_view}")
-        return "\n".join(header + [plan.explain()])
-
-    def explain_analyze(
-        self,
-        sql: str,
-        timeout_s: Optional[float] = None,
-        mem_budget_bytes: Optional[float] = None,
-        workers: Optional[int] = None,
-    ) -> str:
-        """Execute ``sql`` and return the optimized plan tree annotated
-        with per-node measured rows, elapsed time, loop counts and
-        operator-specific counters (hash build sizes, bitmap probes,
-        CTE-memo hits, spill partitions/bytes under a memory budget,
-        ``workers=`` / ``morsels=`` fan-out under a worker pool)."""
-        plan, batch, collector, used_view, elapsed = self._analyze(
-            sql, timeout_s=timeout_s, mem_budget_bytes=mem_budget_bytes,
-            workers=workers,
-        )
-        lines = []
-        if used_view:
-            lines.append(f"-- rewritten to use materialized view {used_view}")
-        lines.append(annotate_plan(plan, collector))
-        lines.append(f"Execution: rows={batch.num_rows} "
-                     f"elapsed={elapsed * 1000:.3f}ms "
-                     f"peak_mem={format_bytes(collector.peak_memory_bytes)}")
-        text = "\n".join(lines)
-        if self.trace_queries:
-            self.traces.append(
-                QueryTrace(sql, text, elapsed, used_view, rows=batch.num_rows)
-            )
-        return text
-
-    def explain_analyze_dict(
-        self,
-        sql: str,
-        timeout_s: Optional[float] = None,
-        mem_budget_bytes: Optional[float] = None,
-        workers: Optional[int] = None,
-    ) -> dict:
-        """:meth:`explain_analyze` for machine consumers: the annotated
-        plan tree as JSON-ready dicts plus execution totals."""
-        plan, batch, collector, used_view, elapsed = self._analyze(
-            sql, timeout_s=timeout_s, mem_budget_bytes=mem_budget_bytes,
-            workers=workers,
-        )
-        return {
-            "sql": sql,
-            "rewritten_from_view": used_view,
-            "rows": batch.num_rows,
-            "elapsed": elapsed,
-            "peak_memory_bytes": collector.peak_memory_bytes,
-            "plan": plan_to_dict(plan, collector),
-        }
+        plan, used_view = self._explain_plan(sql)
+        return "\n".join(_view_header(used_view) + [plan.explain()])
 
     def explain_dict(self, sql: str) -> dict:
         """:meth:`explain` for machine consumers: the optimized plan
         (with optimizer row estimates) as JSON-ready dicts, without
         executing the query."""
-        statement = parse_statement(sql)
-        if not isinstance(statement, A.Query):
-            raise PlanningError("EXPLAIN supports queries only")
-        query, used_view = self._maybe_rewrite(statement)
-        plan = self._plan(query)
+        plan, used_view = self._explain_plan(sql)
         return {
             "sql": sql,
             "rewritten_from_view": used_view,
             "plan": plan_to_dict(plan),
         }
 
-    def _analyze(
+    def explain_analyze(
         self,
         sql: str,
         timeout_s: Optional[float] = None,
         mem_budget_bytes: Optional[float] = None,
+        cancel=None,
         workers: Optional[int] = None,
-    ):
-        """Shared EXPLAIN ANALYZE machinery: parse, rewrite, execute
-        under a stats collector (and a resource context when bounds
-        are given)."""
-        statement = parse_statement(sql)
-        if not isinstance(statement, A.Query):
-            raise PlanningError("EXPLAIN ANALYZE supports queries only")
-        query, used_view = self._maybe_rewrite(statement)
-        collector = ExecStatsCollector()
-        resource = self._make_resource(timeout_s, mem_budget_bytes, None)
-        start = time.perf_counter()
-        try:
-            plan, batch = self._execute_plan(
-                query, collector, resource, pool=self._get_pool(workers)
-            )
-        finally:
-            if resource is not None:
-                resource.cleanup()
-        elapsed = time.perf_counter() - start
-        self.last_profiled = (plan, collector)
-        return plan, batch, collector, used_view, elapsed
-
-    def _make_resource(
-        self,
-        timeout_s: Optional[float],
-        mem_budget_bytes: Optional[float],
-        cancel,
         faults=None,
-    ) -> Optional[ResourceContext]:
-        """A :class:`ResourceContext` for one statement, or ``None``
-        when nothing is bounded (so ungoverned queries skip every
-        per-operator check).  ``faults`` (a per-statement injector)
-        overrides the database-wide one."""
-        injector = faults if faults is not None else self.fault_injector
-        if (
-            timeout_s is None
-            and mem_budget_bytes is None
-            and cancel is None
-            and injector is None
-        ):
-            return None
-        return ResourceContext(
-            memory_budget_bytes=mem_budget_bytes,
-            timeout_s=timeout_s,
-            cancel=cancel,
-            faults=injector,
+    ) -> str:
+        """Execute ``sql`` and return the optimized plan tree annotated
+        with per-node measured rows, elapsed time, loop counts and
+        operator-specific counters (hash build sizes, bitmap probes,
+        CTE-memo hits, spill partitions/bytes under a memory budget,
+        ``workers=`` / ``morsels=`` fan-out under a worker pool)."""
+        opts = ExecOptions.resolve(
+            self, timeout_s, mem_budget_bytes, cancel, workers, faults
+        )
+        return _annotated_text(*self._run(sql, opts, sql, profile=True))
+
+    def explain_analyze_dict(
+        self,
+        sql: str,
+        timeout_s: Optional[float] = None,
+        mem_budget_bytes: Optional[float] = None,
+        cancel=None,
+        workers: Optional[int] = None,
+        faults=None,
+    ) -> dict:
+        """:meth:`explain_analyze` for machine consumers: the annotated
+        plan tree as JSON-ready dicts plus execution totals."""
+        opts = ExecOptions.resolve(
+            self, timeout_s, mem_budget_bytes, cancel, workers, faults
+        )
+        result, plan, collector = self._run(sql, opts, sql, profile=True)
+        return {
+            "sql": sql,
+            "rewritten_from_view": result.rewritten_from_view,
+            "rows": len(result),
+            "elapsed": result.elapsed,
+            "peak_memory_bytes": collector.peak_memory_bytes,
+            "plan": plan_to_dict(plan, collector),
+        }
+
+    # -- the statement pipeline ------------------------------------------------------
+
+    def _run(self, source, opts: ExecOptions, sql: str = "", profile: bool = False):
+        """The one way a statement runs.  ``source`` is SQL text or a
+        parsed statement, ``sql`` the text it is recorded under (none:
+        histogram only), ``profile`` forces a stats collector (EXPLAIN
+        ANALYZE).  Stages: clock start → parse → ``sys.*`` guard →
+        fault roll → resource context + pool + collector → matview
+        rewrite → plan + optimize → execute (query or DML) → spill
+        cleanup → record.  Returns ``(result, plan, collector)``; the
+        public entry points differ only in which of the three they
+        present."""
+        start = time.perf_counter()
+        store = self.statement_store
+        record = store is not None and bool(sql)
+        pool = None
+        try:
+            statement = (
+                parse_statement(source) if isinstance(source, str) else source
+            )
+            # recursion guard: introspection over sys.* tables is never
+            # recorded into the store it reads, nor displaces the
+            # profile sys.operators shows
+            introspective = store is not None and statement_touches_sys(statement)
+            record = record and not introspective
+            if profile and not isinstance(statement, A.Query):
+                raise PlanningError("EXPLAIN ANALYZE supports queries only")
+            opts.roll_query_fault(sql or f"ast:{type(statement).__name__}")
+            resource = opts.resource()
+            pool = opts.pool()
+            # a collector rides along whenever someone reads it: the
+            # caller, the store (peak operator memory, Q-error) or the
+            # plan-quality hook
+            collector = (
+                ExecStatsCollector()
+                if profile or record or self.plan_quality is not None
+                else None
+            )
+            try:
+                result, plan = self._execute_statement(
+                    statement, collector, resource, pool
+                )
+            finally:
+                # spill files never outlive the statement — success,
+                # timeout, cancellation or error
+                if resource is not None:
+                    resource.cleanup()
+            if resource is not None:
+                result.spill_partitions = resource.spill_partitions
+                result.spilled_bytes = resource.spilled_bytes
+        except Exception as exc:
+            self._record(sql, record, time.perf_counter() - start, pool, error=exc)
+            raise
+        result.elapsed = time.perf_counter() - start
+        if collector is not None and plan is not None:
+            if self.plan_quality is not None:
+                self.plan_quality.record(sql, plan, collector)
+            if not introspective:
+                self.last_profiled = (plan, collector)
+        self._record(sql, record, result.elapsed, pool, result, plan, collector)
+        return result, plan, collector
+
+    def _record(
+        self, sql, record, elapsed, pool,
+        result=None, plan=None, collector=None, error=None,
+    ) -> None:
+        """The record stage: every statement lands in
+        ``engine.statement_seconds``; ``record`` ones also in the
+        statement store, as ``ok`` with their totals or under
+        :func:`failure_status` with the error text."""
+        registry = get_registry()
+        if registry.enabled:
+            registry.histogram("engine.statement_seconds").observe(elapsed)
+        if not record:
+            return
+        if error is not None:
+            outcome = {
+                "status": failure_status(error),
+                "error": f"{type(error).__name__}: {error}",
+            }
+        else:
+            # a recorded statement always ran under a collector; DML
+            # results are empty batches carrying a rowcount, and only
+            # INSERT ... SELECT among them has a plan
+            outcome = {
+                "rows": len(result) or result.rowcount,
+                "spill_partitions": result.spill_partitions,
+                "spilled_bytes": result.spilled_bytes,
+                "peak_memory_bytes": collector.peak_memory_bytes,
+                "q_error": _worst_q_error(plan, collector) if plan else None,
+            }
+        self.statement_store.record(
+            sql, elapsed, workers=getattr(pool, "workers", None) or 1, **outcome
         )
 
-    def _get_pool(self, workers: Optional[int]):
-        """The shared worker pool for one statement (``None`` =
-        serial).  Per-call ``workers`` overrides the database-wide
-        default."""
-        return get_pool(self.workers if workers is None else workers)
+    def _execute_statement(
+        self,
+        statement: A.Statement,
+        collector: ExecStatsCollector | None,
+        resource: ResourceContext | None,
+        pool,
+    ):
+        """The execute stage.  A statement's query part — the statement
+        itself, or an INSERT's SELECT — is rewritten, planned and run;
+        DML then applies to its table, its expression subqueries
+        running under the same collector / resource / pool.  Returns
+        ``(result, optimized plan or None)``."""
+        def run(query: A.Query):
+            return self._execute_plan(query, collector, resource, pool)
+
+        if isinstance(statement, A.Query):
+            query, used_view = self._maybe_rewrite(statement)
+            plan, batch = run(query)
+            return Result(batch.names, batch, rewritten_from_view=used_view), plan
+        plan = batch = None
+        if isinstance(statement, A.Insert) and statement.query is not None:
+            plan, batch = run(self._maybe_rewrite(statement.query)[0])
+        if resource is not None:
+            resource.check("dml")
+        ctx = EvalContext(lambda sub_query: run(sub_query)[1])
+        if isinstance(statement, A.Insert):
+            count = self._insert(statement, batch, ctx)
+        elif isinstance(statement, A.Delete):
+            count = self._delete(statement, ctx)
+        elif isinstance(statement, A.Update):
+            count = self._update(statement, ctx)
+        else:  # pragma: no cover
+            raise EngineError(
+                f"unsupported statement {type(statement).__name__}"
+            )
+        return Result([], Batch({}), rowcount=count), plan
 
     def _maybe_rewrite(self, query: A.Query):
         if self.enable_matview_rewrite and self.catalog.matviews:
@@ -545,8 +563,34 @@ class Database:
         return query, None
 
     def _plan(self, query: A.Query):
-        plan = Planner(self.catalog).plan_query(query)
-        return Optimizer(self.catalog, self.optimizer_settings).optimize(plan)
+        """Plan and optimize a query AST — the one planner / optimizer
+        set-up.  Returns the optimized plan and a function giving the
+        optimized plan of one of its expression subqueries (pre-planned
+        in their CTE scope, optimized on first use)."""
+        planner = Planner(self.catalog)
+        optimizer = Optimizer(self.catalog, self.optimizer_settings)
+        plan = optimizer.optimize(planner.plan_query(query))
+        subplans = planner.subquery_plans
+        optimized: dict[int, object] = {}
+
+        def subplan(sub_query: A.Query):
+            key = id(sub_query)
+            if key not in optimized:
+                sub_plan = subplans.get(key)
+                if sub_plan is None:
+                    sub_plan = Planner(self.catalog).plan_query(sub_query)
+                optimized[key] = optimizer.optimize(sub_plan)
+            return optimized[key]
+
+        return plan, subplan
+
+    def _explain_plan(self, sql: str):
+        """Parse, rewrite and plan without executing (EXPLAIN)."""
+        statement = parse_statement(sql)
+        if not isinstance(statement, A.Query):
+            raise PlanningError("EXPLAIN supports queries only")
+        query, used_view = self._maybe_rewrite(statement)
+        return self._plan(query)[0], used_view
 
     def _execute_plan(
         self,
@@ -556,127 +600,60 @@ class Database:
         pool=None,
     ):
         """Plan, optimize and execute a query AST, wiring expression
-        subqueries (pre-planned in their CTE scope) into the executor.
-        Returns ``(optimized plan, result batch)``; when ``collector``
-        is given, every executed node records its stats into it; when
-        ``resource`` is given, the statement (including subqueries)
-        runs under its budget/deadline; when ``pool`` is given, the hot
-        operators (in subqueries too) morsel-parallelize over it."""
-        planner = Planner(self.catalog)
-        plan = planner.plan_query(query)
-        optimizer = Optimizer(self.catalog, self.optimizer_settings)
-        plan = optimizer.optimize(plan)
-        subplans = planner.subquery_plans
-        optimized: dict[int, object] = {}
+        subqueries into the executor.  Returns ``(optimized plan,
+        result batch)``; when ``collector`` is given, every executed
+        node records its stats into it; when ``resource`` is given, the
+        statement (including subqueries) runs under its budget/deadline;
+        when ``pool`` is given, the hot operators (in subqueries too)
+        morsel-parallelize over it."""
+        plan, subplan = self._plan(query)
 
         def run_sub(sub_query: A.Query) -> Batch:
-            key = id(sub_query)
-            if key not in optimized:
-                sub_plan = subplans.get(key)
-                if sub_plan is None:
-                    sub_plan = Planner(self.catalog).plan_query(sub_query)
-                optimized[key] = optimizer.optimize(sub_plan)
             return Executor(
                 run_sub, self.catalog, collector, resource, pool
-            ).run(optimized[key])
+            ).run(subplan(sub_query))
 
         executor = Executor(run_sub, self.catalog, collector, resource, pool)
         return plan, executor.run(plan)
 
-    def _run_query_batch(self, query: A.Query) -> Batch:
-        """Plan, optimize and execute a query AST (batch only)."""
-        return self._execute_plan(query)[1]
-
-    def _execute_query(
-        self,
-        query: A.Query,
-        sql: str = "",
-        resource: ResourceContext | None = None,
-        pool=None,
-        collector: ExecStatsCollector | None = None,
-        record_profile: bool = True,
-    ) -> Result:
-        query, used_view = self._maybe_rewrite(query)
-        if collector is None and self.plan_quality is not None:
-            collector = ExecStatsCollector()
-        start = time.perf_counter()
-        try:
-            plan, batch = self._execute_plan(query, collector, resource, pool)
-        finally:
-            # spill files never outlive the statement — success, timeout,
-            # cancellation or error
-            if resource is not None:
-                resource.cleanup()
-        elapsed = time.perf_counter() - start
-        if collector is not None:
-            if self.plan_quality is not None:
-                self.plan_quality.record(sql, plan, collector)
-            if record_profile:
-                # sys.operators reads the most recent profiled plan;
-                # introspection statements don't displace it
-                self.last_profiled = (plan, collector)
-        if self.trace_queries:
-            header = (
-                f"-- rewritten to use materialized view {used_view}\n"
-                if used_view else ""
-            )
-            self.traces.append(
-                QueryTrace(sql, header + plan.explain(), elapsed, used_view,
-                           rows=batch.num_rows)
-            )
-        result = Result(batch.names, batch, rewritten_from_view=used_view)
-        if resource is not None:
-            result.spill_partitions = resource.spill_partitions
-            result.spilled_bytes = resource.spilled_bytes
-        return result
-
-    def _run_subquery(self, query: A.Query) -> Batch:
-        return self._run_query_batch(query)
-
-    def _execute_sql_to_batch(self, sql: str) -> Batch:
-        statement = parse_statement(sql)
-        if not isinstance(statement, A.Query):
-            raise PlanningError("expected a query")
-        return self._run_query_batch(statement)
+    def _materialize(self, sql: str) -> Batch:
+        """A view's defining query, planned and executed bare: never
+        rewritten (a view must not answer itself), bounded or recorded."""
+        return self._execute_plan(parse_query(sql))[1]
 
     # -- DML ------------------------------------------------------------------------
 
-    def _eval_scalar_row(self, exprs: Sequence[A.Expr]) -> list[Any]:
-        batch = Batch({"_dummy": Vector.constant(Kind.INT, 0, 1)})
-        ctx = EvalContext(self._run_subquery)
-        return [evaluate(e, batch, ctx).value(0) for e in exprs]
-
-    def _execute_insert(self, statement: A.Insert) -> Result:
+    def _insert(
+        self, statement: A.Insert, batch: Optional[Batch], ctx: EvalContext
+    ) -> int:
         table = self.catalog.table(statement.table)
         schema = table.schema
         target_cols = list(statement.columns) or schema.column_names
         for c in target_cols:
             schema.column(c)  # validates
-        if statement.rows:
-            rows = [self._eval_scalar_row(r) for r in statement.rows]
+        if batch is None:
+            one_row = Batch({"_dummy": Vector.constant(Kind.INT, 0, 1)})
             full_rows = []
-            for row in rows:
-                if len(row) != len(target_cols):
+            for exprs in statement.rows:
+                if len(exprs) != len(target_cols):
                     raise ExecutionError("INSERT arity mismatch")
+                row = [evaluate(e, one_row, ctx).value(0) for e in exprs]
                 by_col = dict(zip(target_cols, row))
                 full_rows.append([by_col.get(c) for c in schema.column_names])
             table.append_rows(full_rows)
-            count = len(full_rows)
-        else:
-            batch = self._execute_query(statement.query)._batch
-            if len(batch.columns) != len(target_cols):
-                raise ExecutionError("INSERT ... SELECT arity mismatch")
-            vectors = dict(zip(target_cols, batch.columns.values()))
-            full = {}
-            n = batch.num_rows
-            for c in schema.column_names:
-                if c in vectors:
-                    full[c] = self._coerce(vectors[c], schema.column(c).kind)
-                else:
-                    full[c] = Vector.nulls(schema.column(c).kind, n)
-            table.append_columns(full)
-            count = n
-        return Result([], Batch({}), rowcount=count)
+            return len(full_rows)
+        if len(batch.columns) != len(target_cols):
+            raise ExecutionError("INSERT ... SELECT arity mismatch")
+        vectors = dict(zip(target_cols, batch.columns.values()))
+        full = {}
+        n = batch.num_rows
+        for c in schema.column_names:
+            if c in vectors:
+                full[c] = self._coerce(vectors[c], schema.column(c).kind)
+            else:
+                full[c] = Vector.nulls(schema.column(c).kind, n)
+        table.append_columns(full)
+        return n
 
     @staticmethod
     def _coerce(vec: Vector, kind: Kind) -> Vector:
@@ -703,33 +680,28 @@ class Database:
             }
         )
 
-    def _execute_delete(self, statement: A.Delete) -> Result:
+    def _delete(self, statement: A.Delete, ctx: EvalContext) -> int:
         table = self.catalog.table(statement.table)
         if statement.where is None:
             mask = np.ones(table.num_rows, dtype=bool)
         else:
             batch = self._table_batch(statement.table)
-            ctx = EvalContext(self._run_subquery)
             mask = evaluate(statement.where, batch, ctx).is_true()
-        count = table.delete_where(mask)
-        return Result([], Batch({}), rowcount=count)
+        return table.delete_where(mask)
 
-    def _execute_update(self, statement: A.Update) -> Result:
+    def _update(self, statement: A.Update, ctx: EvalContext) -> int:
         table = self.catalog.table(statement.table)
         batch = self._table_batch(statement.table)
-        ctx = EvalContext(self._run_subquery)
         if statement.where is None:
             mask = np.ones(table.num_rows, dtype=bool)
         else:
             mask = evaluate(statement.where, batch, ctx).is_true()
         indices = np.flatnonzero(mask)
         if not len(indices):
-            return Result([], Batch({}), rowcount=0)
+            return 0
         target = batch.take(indices)
         assignments: dict[str, list[Any]] = {}
         for column, expr in statement.assignments:
             table.schema.column(column)  # validates
-            vec = evaluate(expr, target, ctx)
-            assignments[column] = vec.to_list()
-        count = table.update_rows(indices, assignments)
-        return Result([], Batch({}), rowcount=count)
+            assignments[column] = evaluate(expr, target, ctx).to_list()
+        return table.update_rows(indices, assignments)

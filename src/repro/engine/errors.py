@@ -53,6 +53,17 @@ class QueryCancelled(ResourceError):
     next batch boundary."""
 
 
+def failure_status(exc: BaseException) -> str:
+    """The status a failed statement is reported under — ``"timeout"``,
+    ``"cancelled"`` or ``"failed"`` — in the statement store, the
+    runner's ``QueryTiming`` and the query service's counters alike."""
+    if isinstance(exc, QueryTimeout):
+        return "timeout"
+    if isinstance(exc, QueryCancelled):
+        return "cancelled"
+    return "failed"
+
+
 class MemoryBudgetExceeded(ResourceError):
     """An operator's working set exceeded the memory budget and could
     not be reduced by partitioning/spilling."""

@@ -11,10 +11,11 @@ artifacts a human (or a viewer) can consume after the fact:
   thread, the benchmark streams and every pool worker appear as
   parallel tracks.  :func:`validate_chrome_trace` is the structural
   check CI and the tests run against the emitted document.
-* :func:`latency_percentiles` folds a list of latencies through one
-  :class:`~repro.obs.metrics.Histogram` and reads p50/p90/p95/p99 off
-  it — the single percentile definition shared by the runner's report
-  tables, the telemetry bundle and the ``BENCH_*.json`` payloads.
+* :func:`latency_percentiles` reads p50/p90/p95/p99 off exact samples
+  (nearest rank) or off a :class:`~repro.obs.metrics.Histogram` — the
+  single percentile definition shared by the runner's report tables,
+  the telemetry bundle, the query service and the ``BENCH_*.json``
+  payloads.
 * :class:`MetricsSampler` snapshots the metrics registry on a
   background thread at a fixed interval into an in-memory time series
   (optionally mirrored to JSONL), giving gauges and counters a time
@@ -24,10 +25,11 @@ artifacts a human (or a viewer) can consume after the fact:
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .metrics import Histogram, MetricsRegistry, get_registry
 
@@ -35,16 +37,28 @@ from .metrics import Histogram, MetricsRegistry, get_registry
 PERCENTILES = (("p50", 0.50), ("p90", 0.90), ("p95", 0.95), ("p99", 0.99))
 
 
-def latency_percentiles(values: Sequence[float]) -> dict:
-    """p50/p90/p95/p99 (plus count/mean/max) of ``values`` read off a
-    log2-bucket :class:`Histogram` — empty input yields zeros."""
-    hist = Histogram("latency", threading.Lock())
-    for value in values:
-        hist.observe(value)
-    out = {"count": hist.count, "mean": hist.mean(),
-           "max": hist.max if hist.count else 0.0}
+def latency_percentiles(source: Union[Sequence[float], Histogram]) -> dict:
+    """count / mean / max and p50/p90/p95/p99 of latencies — empty
+    input yields zeros.  Samples give exact nearest-rank percentiles
+    (the smallest sample with at least ``q`` of the data at or below
+    it); a :class:`Histogram`, which kept only log2 buckets, gives its
+    bucket-edge approximation."""
+    if isinstance(source, Histogram):
+        count, mean = source.count, source.mean()
+        peak = source.max if count else 0.0
+        quantile = source.quantile
+    else:
+        ordered = sorted(source)
+        count = len(ordered)
+        mean = sum(ordered) / count if count else 0.0
+        peak = ordered[-1] if count else 0.0
+
+        def quantile(q: float) -> float:
+            return ordered[max(math.ceil(q * count), 1) - 1] if count else 0.0
+
+    out = {"count": count, "mean": mean, "max": peak}
     for name, q in PERCENTILES:
-        out[name] = hist.quantile(q)
+        out[name] = quantile(q)
     return out
 
 

@@ -49,7 +49,7 @@ from ..obs import (
 from ..dsdgen import DsdGen, GeneratedData, minimum_streams
 from ..dsdgen.generator import load_tables
 from ..engine import Database, OptimizerSettings
-from ..engine.errors import ConstraintError, QueryCancelled, QueryTimeout
+from ..engine.errors import ConstraintError, failure_status
 from ..engine.parallel import get_pool
 from ..maintenance import RefreshGenerator, run_all
 from ..qgen import QGen, build_catalog
@@ -506,12 +506,8 @@ class BenchmarkRun:
                         used_view = used_view or result.rewritten_from_view
                         spill_parts += result.spill_partitions
                         spill_bytes += result.spilled_bytes
-                except QueryTimeout as exc:
-                    status, error = "timeout", str(exc)
-                except QueryCancelled as exc:
-                    status, error = "cancelled", str(exc)
                 except Exception as exc:
-                    status = "failed"
+                    status = failure_status(exc)
                     error = f"{type(exc).__name__}: {exc}"
                     transient = bool(getattr(exc, "transient", False))
                 elapsed = time.perf_counter() - start

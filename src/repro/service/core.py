@@ -50,6 +50,7 @@ from ..engine.errors import (
     EngineError,
     QueryCancelled,
     QueryTimeout,
+    failure_status,
 )
 from ..engine.types import ColumnDef, Kind, SqlType, TableSchema, varchar
 from ..engine.virtual import VirtualTableProvider
@@ -273,24 +274,9 @@ class _TenantState:
             "cancelled": self.cancelled,
             "last_retry_after_s": self.last_retry_after_s,
             "ewma_latency_s": self.ewma_latency_s,
-            "latency": latency_percentiles_from(self.latency),
-            "queue_wait": latency_percentiles_from(self.queue_wait),
+            "latency": latency_percentiles(self.latency),
+            "queue_wait": latency_percentiles(self.queue_wait),
         }
-
-
-def latency_percentiles_from(hist: Histogram) -> dict:
-    """The shared percentile shape, read off an existing histogram."""
-    if not hist.count:
-        return latency_percentiles([])
-    return {
-        "count": hist.count,
-        "mean": hist.mean(),
-        "max": hist.max,
-        "p50": hist.quantile(0.50),
-        "p90": hist.quantile(0.90),
-        "p95": hist.quantile(0.95),
-        "p99": hist.quantile(0.99),
-    }
 
 
 # -- sessions ----------------------------------------------------------------
@@ -591,6 +577,7 @@ class QueryService:
                 except BaseException as exc:  # classified below
                     error = exc
         elapsed = time.monotonic() - statement.enqueued_at
+        status = failure_status(error) if error is not None else "ok"
         with self._lock:
             mono_now = time.monotonic()
             if error is None:
@@ -604,16 +591,15 @@ class QueryService:
                     else (1 - EWMA_ALPHA) * tenant.ewma_latency_s
                     + EWMA_ALPHA * sample
                 )
-            elif isinstance(error, QueryCancelled):
+            elif status == "cancelled":
                 tenant.cancelled += 1
                 session.cancelled += 1
                 # client-initiated: not a backend failure, breaker unmoved
-            elif isinstance(error, QueryTimeout):
-                tenant.timeouts += 1
-                session.failed += 1
-                tenant.breaker.record_failure(mono_now)
             else:
-                tenant.failed += 1
+                if status == "timeout":
+                    tenant.timeouts += 1
+                else:
+                    tenant.failed += 1
                 session.failed += 1
                 tenant.breaker.record_failure(mono_now)
         if registry.enabled:

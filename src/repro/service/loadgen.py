@@ -29,9 +29,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from ..obs import Histogram
+from ..obs import Histogram, latency_percentiles
 from .core import AdmissionRejected, QueryService, TenantQuota
-from ..engine.errors import QueryCancelled, QueryTimeout
+from ..engine.errors import failure_status
 
 #: how long (seconds) the driver waits for stragglers after the last
 #: scheduled arrival before declaring them lost
@@ -309,13 +309,14 @@ class LoadDriver:
             def callback(future):
                 elapsed = time.monotonic() - t0
                 exc = future.exception()
+                status = failure_status(exc) if exc is not None else "ok"
                 with lock:
-                    if exc is None:
+                    if status == "ok":
                         report.completed += 1
                         hist.observe(elapsed)
-                    elif isinstance(exc, QueryCancelled):
+                    elif status == "cancelled":
                         report.cancelled += 1
-                    elif isinstance(exc, QueryTimeout):
+                    elif status == "timeout":
                         report.timeouts += 1
                     else:
                         report.failed += 1
@@ -355,8 +356,6 @@ class LoadDriver:
                 break
         duration = time.monotonic() - start
 
-        from .core import latency_percentiles_from
-
         out = LoadReport(
             seed=self.seed,
             duration_s=duration,
@@ -370,7 +369,7 @@ class LoadDriver:
         with lock:
             for name in sorted(reports):
                 report = reports[name]
-                report.latency = latency_percentiles_from(hists[name])
+                report.latency = latency_percentiles(hists[name])
                 resolved = (report.completed + report.failed
                             + report.timeouts + report.cancelled)
                 report.lost = report.admitted - resolved

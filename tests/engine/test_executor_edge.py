@@ -126,16 +126,3 @@ class TestBigValues:
     def test_unicode_strings(self, db):
         db.execute("INSERT INTO t VALUES (9, 'héllo')")
         assert db.execute("SELECT v FROM t WHERE k = 9").rows() == [("héllo",)]
-
-
-class TestTracing:
-    def test_traces_recorded_when_enabled(self, db):
-        db.trace_queries = True
-        db.execute("SELECT COUNT(*) FROM t")
-        db.execute("SELECT k FROM t ORDER BY k")
-        assert len(db.traces) == 2
-        assert db.traces[0].elapsed >= 0
-
-    def test_traces_off_by_default(self, db):
-        db.execute("SELECT COUNT(*) FROM t")
-        assert db.traces == []

@@ -93,13 +93,17 @@ class TestExplainAnalyzeText:
             WHERE ss_item_sk = i_item_sk
             GROUP BY i_brand
         """)
-        text = fresh_db.explain_analyze(
+        sql = (
             "SELECT i_brand, SUM(ss_ext_sales_price) "
             "FROM store_sales, item WHERE ss_item_sk = i_item_sk "
             "GROUP BY i_brand"
         )
-        assert text.startswith("-- rewritten to use materialized view mv_brand")
+        header = "-- rewritten to use materialized view mv_brand"
+        text = fresh_db.explain_analyze(sql)
+        assert text.startswith(header)
         assert "MatViewScan(mv_brand" in text
+        assert fresh_db.explain(sql).startswith(header)
+        assert fresh_db.execute(sql).rewritten_from_view == "mv_brand"
 
     def test_rejects_dml(self, simple_db):
         from repro.engine.errors import PlanningError
@@ -168,34 +172,10 @@ class TestExplainPrefixInExecute:
         assert "Execution:" in text
 
 
-class TestQueryTraceRegression:
+class TestExplainText:
     def test_plan_text_populated(self, simple_db):
-        """Regression: traces used to store plan_text='' unconditionally."""
-        simple_db.trace_queries = True
-        simple_db.execute("SELECT item_sk FROM sales WHERE qty > 1 ORDER BY 1")
-        trace = simple_db.traces[-1]
-        assert trace.plan_text != ""
-        assert "Scan(sales" in trace.plan_text
-        assert "Sort" in trace.plan_text
-        assert trace.rows == len(
-            simple_db.execute("SELECT item_sk FROM sales WHERE qty > 1")
+        text = simple_db.explain(
+            "SELECT item_sk FROM sales WHERE qty > 1 ORDER BY 1"
         )
-
-    def test_trace_records_rewrite_header(self, fresh_db):
-        fresh_db.create_materialized_view("mv_t", """
-            SELECT i_brand, SUM(ss_ext_sales_price)
-            FROM store_sales, item
-            WHERE ss_item_sk = i_item_sk
-            GROUP BY i_brand
-        """)
-        fresh_db.trace_queries = True
-        fresh_db.execute(
-            "SELECT i_brand, SUM(ss_ext_sales_price) "
-            "FROM store_sales, item WHERE ss_item_sk = i_item_sk "
-            "GROUP BY i_brand"
-        )
-        trace = fresh_db.traces[-1]
-        assert trace.used_view == "mv_t"
-        assert trace.plan_text.startswith(
-            "-- rewritten to use materialized view mv_t"
-        )
+        assert "Scan(sales" in text
+        assert "Sort" in text

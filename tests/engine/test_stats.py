@@ -152,7 +152,7 @@ class TestJoinEstimate:
     def _join_estimate(db):
         from repro.engine import plan as P
 
-        plan = db._plan(parse_query("SELECT * FROM f, d WHERE k = dk"))
+        plan, _ = db._plan(parse_query("SELECT * FROM f, d WHERE k = dk"))
         join = next(n for n in plan.walk() if isinstance(n, P.Join))
         return join.estimated_rows
 
