@@ -133,7 +133,18 @@ def factorize(vec: Vector) -> np.ndarray:
     ordered by value starting at 1 (so codes also encode sort order)."""
     codes = np.zeros(len(vec), dtype=np.int64)
     valid = ~vec.null
-    if valid.any():
+    if not valid.any():
+        return codes
+    if vec.kind is Kind.STR:
+        # rank the distinct strings, not the rows: sorting an object
+        # array compares through pointers row by row, the slowest and
+        # least steady step of a wide string GROUP BY
+        values = vec.data[valid].tolist()
+        rank = {v: i for i, v in enumerate(sorted(set(values)), 1)}
+        codes[valid] = np.fromiter(
+            map(rank.__getitem__, values), dtype=np.int64, count=len(values)
+        )
+    else:
         _, inverse = np.unique(vec.data[valid], return_inverse=True)
         codes[valid] = inverse + 1
     return codes
@@ -144,9 +155,20 @@ def _row_codes(vectors: list[Vector]) -> np.ndarray:
     n = len(vectors[0]) if vectors else 0
     if not vectors:
         return np.zeros(n, dtype=np.int64)
-    columns = [factorize(v) for v in vectors]
-    stacked = np.stack(columns, axis=1)
-    _, row_ids = np.unique(stacked, axis=0, return_inverse=True)
+    # fold the per-column codes into one mixed-radix int64 per row —
+    # the same lexicographic order as sorting the stacked rows, at the
+    # cost of a 1-D integer sort — re-ranking before a digit could
+    # overflow
+    row_ids = np.zeros(n, dtype=np.int64)
+    span = 1
+    for codes in map(factorize, vectors):
+        width = int(codes.max()) + 1 if n else 1
+        if span * width >= 1 << 62:
+            _, row_ids = np.unique(row_ids, return_inverse=True)
+            span = n
+        row_ids = row_ids * width + codes
+        span *= width
+    _, row_ids = np.unique(row_ids, return_inverse=True)
     return row_ids.astype(np.int64)
 
 

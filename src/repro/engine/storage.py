@@ -144,26 +144,25 @@ class StoredColumn:
                 f"{self.definition.name}"
             )
         if self.kind is Kind.STR:
-            if len(vec):
-                # dictionary-encode per distinct value, not per row —
-                # and only over non-null slots, so the fill values
-                # parked under the null mask never enter the dictionary
-                null = np.asarray(vec.null, dtype=bool)
-                codes = np.full(len(vec), -1, dtype=np.int32)
-                valid = ~null
-                if valid.any():
-                    uniq, inverse = np.unique(
-                        np.asarray(vec.data, dtype=object)[valid].astype(str),
-                        return_inverse=True,
-                    )
-                    uniq_codes = np.fromiter(
-                        (self._encode(u) for u in uniq.tolist()),
-                        dtype=np.int32,
-                        count=len(uniq),
-                    )
-                    codes[valid] = uniq_codes[inverse]
-            else:
-                codes = np.empty(0, dtype=np.int32)
+            # dictionary-encode per distinct value, not per row — and
+            # only over non-null slots, so the fill values parked under
+            # the null mask never enter the dictionary.  Distinct values
+            # come from a set and enter the dictionary in sorted order;
+            # sorting the rows instead needs a fixed-width unicode copy
+            # (110 MB for a 144k-row description column) whose cost
+            # swings with the machine's memory
+            codes = np.full(len(vec), -1, dtype=np.int32)
+            valid = ~np.asarray(vec.null, dtype=bool)
+            if valid.any():
+                values = list(
+                    map(str, np.asarray(vec.data, dtype=object)[valid].tolist())
+                )
+                code_of = {u: self._encode(u) for u in sorted(set(values))}
+                codes[valid] = np.fromiter(
+                    map(code_of.__getitem__, values),
+                    dtype=np.int32,
+                    count=len(values),
+                )
             self._codes = np.concatenate([self._codes, codes])
         else:
             self._data = np.concatenate([self._data, vec.data])

@@ -1,5 +1,5 @@
 """Executor edge cases: empty inputs, degenerate limits, big keys,
-guard rails, and the Database trace facility."""
+guard rails, and key-row ranking."""
 
 import pytest
 
@@ -12,6 +12,9 @@ from repro.engine import (
     integer,
     varchar,
 )
+from repro.engine.executor import _row_codes
+from repro.engine.types import Kind
+from repro.engine.vector import Vector
 
 
 @pytest.fixture()
@@ -126,3 +129,31 @@ class TestBigValues:
     def test_unicode_strings(self, db):
         db.execute("INSERT INTO t VALUES (9, 'héllo')")
         assert db.execute("SELECT v FROM t WHERE k = 9").rows() == [("héllo",)]
+
+
+class TestRowCodes:
+    """``_row_codes`` ranks key rows lexicographically, NULL first,
+    however many and however wide the key columns are."""
+
+    @staticmethod
+    def _rank(rows):
+        key = lambda row: tuple((v is not None, v) for v in row)  # noqa: E731
+        order = {k: i for i, k in enumerate(sorted(set(map(key, rows))))}
+        return [order[key(row)] for row in rows]
+
+    def test_strings_and_nulls_rank_in_value_order(self):
+        rows = [("b", 2), (None, 1), ("a", None), ("é", 1), ("a", 3),
+                ("B", 1), ("a", None)]
+        vectors = [
+            Vector.from_values(Kind.STR, [r[0] for r in rows]),
+            Vector.from_values(Kind.INT, [r[1] for r in rows]),
+        ]
+        assert _row_codes(vectors).tolist() == self._rank(rows)
+
+    def test_nine_all_distinct_columns_do_not_overflow(self):
+        # 2000 ** 9 is far past int64: the codes are re-ranked on the way
+        n = 2000
+        columns = [[(i * step) % 2003 for i in range(n)]
+                   for step in (1, 7, 11, 13, 17, 19, 23, 29, 31)]
+        vectors = [Vector.from_values(Kind.INT, c) for c in columns]
+        assert _row_codes(vectors).tolist() == self._rank(list(zip(*columns)))
